@@ -60,16 +60,15 @@ benchgate:
 	$(GO) run ./cmd/benchjson -compare BenchmarkRewriteStressZVM32,BenchmarkRewriteStressZVM64 -min 0.666 BENCH_pipeline.json
 
 # Allocator bench smoke: one iteration of the indexed-allocator
-# microbenches against their sorted-slice reference, enough to catch a
-# complexity regression (Alloc* must not drift toward FreeSpace*)
-# without the full bench run's cost.
+# microbenches over 10k fragmented blocks, enough to catch a complexity
+# regression without the full bench run's cost.
 benchsmoke:
-	$(GO) test -run '^$$' -bench 'AllocCarveRelease|FreeSpaceCarveRelease|AllocNearestFit|FreeSpaceNearestFit' -benchtime 1x -benchmem ./internal/core/
+	$(GO) test -run '^$$' -bench 'AllocCarveRelease|AllocNearestFit' -benchtime 1x -benchmem ./internal/core/
 	$(GO) test -run '^$$' -bench 'RewriteDelta|ServeDeltaHit' -benchtime 1x -benchmem .
 
 # Fuzz smoke: replay the committed seed corpora, then fuzz each target
 # for a bounded interval — long enough to catch shallow regressions in
-# the allocator's differential contract and the whole-pipeline
+# the allocator's per-byte-model contract and the whole-pipeline
 # transcript-equivalence property, short enough for CI. Crashers are
 # written under testdata/fuzz/ for triage.
 FUZZTIME ?= 30s

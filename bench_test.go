@@ -511,8 +511,7 @@ func BenchmarkDisassembleParallel(b *testing.B) {
 
 // BenchmarkPlaceLargeSynth measures the reassembly stage alone on the
 // libc-scale placement-stress workload (≥100k instructions, dense pin
-// clusters) and reports the indexed allocator's speedup over the legacy
-// slice-scanning placer. Disassembly, CFG and transforms run once
+// clusters). Disassembly, CFG and transforms run once
 // outside the clock; each iteration is one core.Reassemble, so the
 // number under test is placement cost, not pipeline overhead.
 func BenchmarkPlaceLargeSynth(b *testing.B) {
@@ -546,14 +545,11 @@ func BenchmarkPlaceLargeSynth(b *testing.B) {
 	if a, c := reassemble(layoutpkg.Optimized{}), reassemble(layoutpkg.Optimized{}); !bytes.Equal(a.Binary.Text().Data, c.Binary.Text().Data) {
 		b.Fatal("reassembly of a shared program is not repeatable")
 	}
-	legacyRef := benchWall(b, 1, func() { reassemble(layoutpkg.LegacyOptimized{}) })
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		reassemble(layoutpkg.Optimized{})
 	}
-	b.StopTimer()
-	reportSpeedup(b, legacyRef)
 }
 
 // BenchmarkEvalJ1 measures corpus evaluation with one worker (the old

@@ -55,9 +55,7 @@ type Space interface {
 // maximal block length per subtree. The augmentation is what makes the
 // fit queries logarithmic — a subtree whose max length is below the
 // request can be pruned without visiting it. Mutations (Carve, Release)
-// are O(log n) with no global re-sort and no full-list copy, unlike the
-// slice-splicing FreeSpace it replaces (which remains in freespace.go
-// as the reference implementation for differential tests).
+// are O(log n) with no global re-sort and no full-list copy.
 type Alloc struct {
 	root  *anode
 	count int
@@ -230,8 +228,7 @@ func (a *Alloc) reshape(n *anode, oldStart uint32, nb ir.Range) {
 	n.update()
 }
 
-// NewAlloc creates an allocator covering whole minus the holes
-// (identical construction semantics to NewFreeSpace).
+// NewAlloc creates an allocator covering whole minus the holes.
 func NewAlloc(whole ir.Range, holes []ir.Range) *Alloc {
 	var blocks []ir.Range
 	cur := whole.Start
@@ -324,23 +321,18 @@ func visitFits(n *anode, size uint32, fn func(ir.Range) bool) bool {
 	return visitFits(n.r, size, fn)
 }
 
-// AppendBlocks appends every free block to dst in address order and
-// returns it — the snapshot escape hatch for tests and the legacy
-// placers; the pipeline never calls it.
-func (a *Alloc) AppendBlocks(dst []ir.Range) []ir.Range {
+// Blocks returns a fresh copy of the current free blocks in address
+// order — a snapshot for tests; the pipeline never calls it.
+func (a *Alloc) Blocks() []ir.Range {
+	if a.count == 0 {
+		return nil
+	}
+	dst := make([]ir.Range, 0, a.count)
 	a.Visit(func(b ir.Range) bool {
 		dst = append(dst, b)
 		return true
 	})
 	return dst
-}
-
-// Blocks returns a fresh copy of the current free blocks.
-func (a *Alloc) Blocks() []ir.Range {
-	if a.count == 0 {
-		return nil
-	}
-	return a.AppendBlocks(make([]ir.Range, 0, a.count))
 }
 
 // fitLen clamps a byte-count request to the uint32 length domain.
@@ -529,8 +521,8 @@ func (a *Alloc) Contains(r ir.Range) bool {
 }
 
 // FindWithin returns the lowest free range of exactly size bytes that
-// lies wholly inside window, if any (same contract as the reference
-// FreeSpace: blocks are clipped to the window before the fit test).
+// lies wholly inside window, if any: blocks are clipped to the window
+// before the fit test.
 func (a *Alloc) FindWithin(window ir.Range, size uint32) (ir.Range, bool) {
 	if size == 0 || window.End <= window.Start {
 		return ir.Range{}, false

@@ -19,18 +19,15 @@ func benchSpace(n int) []ir.Range {
 	return blocks
 }
 
-// carveReleaseCycle drives one mixed workload over a Space-backed
-// allocator: a fit query, a carve of the result, and periodic releases.
-func carveReleaseCycle(b *testing.B, mk func() interface {
-	Space
-	Carve(r ir.Range) error
-	Release(r ir.Range)
-}) {
-	b.Helper()
+// BenchmarkAllocCarveRelease measures the indexed allocator on a mixed
+// workload over 10k fragmented blocks: a fit query, a carve of the
+// result, and periodic releases.
+func BenchmarkAllocCarveRelease(b *testing.B) {
+	blocks := benchSpace(10_000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a := mk()
+		a := AllocFromBlocks(blocks)
 		var carved []ir.Range
 		for j := 0; j < 2048; j++ {
 			size := 4 + j%24
@@ -52,36 +49,6 @@ func carveReleaseCycle(b *testing.B, mk func() interface {
 	}
 }
 
-// BenchmarkAllocCarveRelease measures the indexed allocator on the
-// mixed query/carve/release workload over 10k fragmented blocks.
-func BenchmarkAllocCarveRelease(b *testing.B) {
-	blocks := benchSpace(10_000)
-	carveReleaseCycle(b, func() interface {
-		Space
-		Carve(r ir.Range) error
-		Release(r ir.Range)
-	} {
-		return AllocFromBlocks(blocks)
-	})
-}
-
-// BenchmarkFreeSpaceCarveRelease is the same workload on the sorted-
-// slice reference implementation, for comparison.
-func BenchmarkFreeSpaceCarveRelease(b *testing.B) {
-	blocks := benchSpace(10_000)
-	carveReleaseCycle(b, func() interface {
-		Space
-		Carve(r ir.Range) error
-		Release(r ir.Range)
-	} {
-		fs := &FreeSpace{}
-		for _, blk := range blocks {
-			fs.blocks = append(fs.blocks, blk)
-		}
-		return fs
-	})
-}
-
 // BenchmarkAllocNearestFit measures the hot placement query alone on
 // the indexed allocator.
 func BenchmarkAllocNearestFit(b *testing.B) {
@@ -90,19 +57,6 @@ func BenchmarkAllocNearestFit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, ok := a.NearestFit(uint32(0x1000+i*61), 16); !ok {
-			b.Fatal("no fit")
-		}
-	}
-}
-
-// BenchmarkFreeSpaceNearestFit is the same query on the reference
-// linear scan.
-func BenchmarkFreeSpaceNearestFit(b *testing.B) {
-	fs := &FreeSpace{blocks: benchSpace(10_000)}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := fs.NearestFit(uint32(0x1000+i*61), 16); !ok {
 			b.Fatal("no fit")
 		}
 	}

@@ -7,12 +7,14 @@ import (
 	"zipr/internal/ir"
 )
 
-// FuzzAlloc differentially fuzzes the indexed allocator against the
-// sorted-slice FreeSpace reference. The input bytes drive a sequence of
-// carve/release operations applied to both implementations; after every
-// operation the block lists must be identical, the tree invariants must
-// hold, and a battery of Space queries (parameterized from the same
-// input bytes) must agree.
+// FuzzAlloc checks the indexed allocator against a per-byte model: a
+// []bool marking which bytes of the 0x10000-byte fuzz range are free.
+// The input bytes drive a sequence of carve/release operations applied
+// to both. After every operation the allocator's block list must equal
+// the model's maximal free runs, its byte and block counts must match,
+// and the tree invariants must hold; a battery of Space queries
+// (parameterized from the same input bytes) must agree with a brute-
+// force answer computed over the runs.
 func FuzzAlloc(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0x10, 0x00, 8, 0, 0x40, 0x00, 16, 1, 0, 0})
@@ -25,20 +27,64 @@ func FuzzAlloc(f *testing.F) {
 	// windows that straddle the carved region's edges — one clipped by
 	// the hole's start (too-small remainder), one starting just inside
 	// the hole and reaching the free block beyond it, and one opening
-	// exactly at the hole's end (the first free byte). The differential
-	// check (compareQueries) demands the indexed tree agree with the
-	// linear reference on every clipped window.
+	// exactly at the hole's end (the first free byte). compareQueries
+	// demands the indexed tree agree with the model on every clipped
+	// window.
 	f.Add([]byte{
 		0, 0x00, 0x01, 0x1f, // carve [0x100, 0x120)
 		2, 0xfe, 0x00, 7, // window [0xfe, 0x11f): only 2 free bytes before the hole
 		2, 0x18, 0x01, 3, // window [0x118, 0x129): fit begins at the hole's end
 		2, 0x20, 0x01, 0xff, // window opening exactly at the first free byte
 	})
+	// NearestFit tie: carve [0x10, 0x20), leaving free blocks starting at
+	// 0 and 0x20, then probe hint 0x10, equidistant from both starts;
+	// the lower-addressed block must win.
+	f.Add([]byte{
+		0, 0x10, 0x00, 0x0f, // carve [0x10, 0x20)
+		2, 0x10, 0x00, 3, // NearestFit(0x10, 4)
+	})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		whole := ir.Range{Start: 0, End: 0x10000}
-		ref := NewFreeSpace(whole, nil)
+		free := make([]bool, whole.End) // the model: free[a] for every free byte a
+		for a := range free {
+			free[a] = true
+		}
 		idx := NewAlloc(whole, nil)
 		var carved []ir.Range
+
+		// runs returns the model's maximal free runs in address order:
+		// exactly what the allocator's blocks must be.
+		runs := func() []ir.Range {
+			var rs []ir.Range
+			for a := uint32(0); a < whole.End; {
+				if !free[a] {
+					a++
+					continue
+				}
+				start := a
+				for a < whole.End && free[a] {
+					a++
+				}
+				rs = append(rs, ir.Range{Start: start, End: a})
+			}
+			return rs
+		}
+		allFree := func(r ir.Range) bool {
+			if r.Start >= r.End || r.End > whole.End {
+				return false
+			}
+			for a := r.Start; a < r.End; a++ {
+				if !free[a] {
+					return false
+				}
+			}
+			return true
+		}
+		setFree := func(r ir.Range, v bool) {
+			for a := r.Start; a < r.End; a++ {
+				free[a] = v
+			}
+		}
 
 		u16 := func(i int) uint32 { return uint32(data[i]) | uint32(data[i+1])<<8 }
 		check := func(op string) {
@@ -46,54 +92,146 @@ func FuzzAlloc(f *testing.F) {
 			if err := idx.checkInvariants(); err != nil {
 				t.Fatalf("after %s: %v", op, err)
 			}
-			want, got := ref.Blocks(), idx.Blocks()
+			want, got := runs(), idx.Blocks()
 			if len(want) != len(got) {
-				t.Fatalf("after %s: %d blocks, reference has %d", op, len(got), len(want))
+				t.Fatalf("after %s: %d blocks, model has %d free runs", op, len(got), len(want))
 			}
+			total := 0
 			for i := range want {
 				if want[i] != got[i] {
-					t.Fatalf("after %s: block %d = %+v, reference %+v", op, i, got[i], want[i])
+					t.Fatalf("after %s: block %d = %+v, model run %+v", op, i, got[i], want[i])
 				}
+				total += int(want[i].Len())
 			}
-			if ref.TotalFree() != idx.TotalFree() || ref.NumBlocks() != idx.NumBlocks() {
-				t.Fatalf("after %s: totals diverge", op)
+			if idx.TotalFree() != total || idx.NumBlocks() != len(want) {
+				t.Fatalf("after %s: TotalFree %d, NumBlocks %d; model %d, %d",
+					op, idx.TotalFree(), idx.NumBlocks(), total, len(want))
 			}
 		}
 		compareQueries := func(addr uint32, size int) {
 			t.Helper()
+			rs := runs()
+			sz := uint32(size)
 			type q struct {
 				name     string
 				wb, gb   ir.Range
 				wok, gok bool
 			}
 			var qs []q
-			wb, wok := ref.Largest()
+			add := func(name string, wb ir.Range, wok bool, gb ir.Range, gok bool) {
+				qs = append(qs, q{name, wb, gb, wok, gok})
+			}
+
+			// Largest: the first run of maximal length.
+			var wb ir.Range
+			wok := false
+			for _, r := range rs {
+				if !wok || r.Len() > wb.Len() {
+					wb, wok = r, true
+				}
+			}
 			gb, gok := idx.Largest()
-			qs = append(qs, q{"Largest", wb, gb, wok, gok})
-			wb, wok = ref.LowestFit(size)
+			add("Largest", wb, wok, gb, gok)
+
+			// LowestFit / HighestFit: the first / last fitting run.
+			wb, wok = ir.Range{}, false
+			for _, r := range rs {
+				if r.Len() >= sz {
+					wb, wok = r, true
+					break
+				}
+			}
 			gb, gok = idx.LowestFit(size)
-			qs = append(qs, q{"LowestFit", wb, gb, wok, gok})
-			wb, wok = ref.HighestFit(size)
+			add("LowestFit", wb, wok, gb, gok)
+			wb, wok = ir.Range{}, false
+			for i := len(rs) - 1; i >= 0; i-- {
+				if rs[i].Len() >= sz {
+					wb, wok = rs[i], true
+					break
+				}
+			}
 			gb, gok = idx.HighestFit(size)
-			qs = append(qs, q{"HighestFit", wb, gb, wok, gok})
-			wb, wok = ref.BestFit(size)
+			add("HighestFit", wb, wok, gb, gok)
+
+			// BestFit: the smallest fitting run, the lowest-addressed
+			// one among equals.
+			wb, wok = ir.Range{}, false
+			for _, r := range rs {
+				if r.Len() >= sz && (!wok || r.Len() < wb.Len()) {
+					wb, wok = r, true
+				}
+			}
 			gb, gok = idx.BestFit(size)
-			qs = append(qs, q{"BestFit", wb, gb, wok, gok})
-			wb, wok = ref.NearestFit(addr, size)
+			add("BestFit", wb, wok, gb, gok)
+
+			// NearestFit: the fitting run whose start is closest to
+			// addr, the lower-addressed one among equidistant pairs.
+			wb, wok = ir.Range{}, false
+			var bestDist int64
+			for _, r := range rs {
+				if r.Len() < sz {
+					continue
+				}
+				d := int64(r.Start) - int64(addr)
+				if d < 0 {
+					d = -d
+				}
+				if !wok || d < bestDist {
+					wb, wok, bestDist = r, true, d
+				}
+			}
 			gb, gok = idx.NearestFit(addr, size)
-			qs = append(qs, q{"NearestFit", wb, gb, wok, gok})
-			wb, wok = ref.BlockStartingAt(addr)
+			add("NearestFit", wb, wok, gb, gok)
+
+			// BlockStartingAt: the run that begins exactly at addr.
+			wb, wok = ir.Range{}, false
+			for _, r := range rs {
+				if r.Start == addr {
+					wb, wok = r, true
+				}
+			}
 			gb, gok = idx.BlockStartingAt(addr)
-			qs = append(qs, q{"BlockStartingAt", wb, gb, wok, gok})
-			win := ir.Range{Start: addr, End: addr + uint32(size)*4 + 1}
-			wb, wok = ref.FindWithin(win, uint32(size))
-			gb, gok = idx.FindWithin(win, uint32(size))
-			qs = append(qs, q{"FindWithin", wb, gb, wok, gok})
+			add("BlockStartingAt", wb, wok, gb, gok)
+
+			// FindWithin: clip each run to the window, then take the
+			// first clipped span of at least size bytes; the answer is
+			// its first size bytes.
+			win := ir.Range{Start: addr, End: addr + sz*4 + 1}
+			wb, wok = ir.Range{}, false
+			for _, r := range rs {
+				lo, hi := max(r.Start, win.Start), min(r.End, win.End)
+				if hi > lo && hi-lo >= sz {
+					wb, wok = ir.Range{Start: lo, End: lo + sz}, true
+					break
+				}
+			}
+			gb, gok = idx.FindWithin(win, sz)
+			add("FindWithin", wb, wok, gb, gok)
+
 			for _, c := range qs {
 				if c.wok != c.gok || (c.wok && c.wb != c.gb) {
-					t.Fatalf("%s(addr=%#x, size=%d) = %+v, %v; reference %+v, %v",
+					t.Fatalf("%s(addr=%#x, size=%d) = %+v, %v; model %+v, %v",
 						c.name, addr, size, c.gb, c.gok, c.wb, c.wok)
 				}
+			}
+			// VisitFits walks exactly the fitting runs, in address order.
+			var fits []ir.Range
+			idx.VisitFits(size, func(b ir.Range) bool {
+				fits = append(fits, b)
+				return true
+			})
+			k := 0
+			for _, r := range rs {
+				if r.Len() < sz {
+					continue
+				}
+				if k >= len(fits) || fits[k] != r {
+					t.Fatalf("VisitFits(%d) = %+v; model fitting runs differ at %+v", size, fits, r)
+				}
+				k++
+			}
+			if k != len(fits) {
+				t.Fatalf("VisitFits(%d) = %+v: %d extra blocks", size, fits, len(fits)-k)
 			}
 		}
 
@@ -105,12 +243,13 @@ func FuzzAlloc(f *testing.F) {
 				size := uint32(data[i+3]) + 1
 				i += 4
 				r := ir.Range{Start: addr, End: addr + size}
-				refErr := ref.Carve(r)
-				idxErr := idx.Carve(r)
-				if (refErr == nil) != (idxErr == nil) {
-					t.Fatalf("Carve(%+v): err %v, reference err %v", r, idxErr, refErr)
+				wantOK := allFree(r)
+				err := idx.Carve(r)
+				if (err == nil) != wantOK {
+					t.Fatalf("Carve(%+v): err %v, but model says every byte free = %v", r, err, wantOK)
 				}
-				if refErr == nil {
+				if wantOK {
+					setFree(r, false)
 					carved = append(carved, r)
 				}
 				check(fmt.Sprintf("Carve(%+v)", r))
@@ -123,7 +262,7 @@ func FuzzAlloc(f *testing.F) {
 				k %= len(carved)
 				r := carved[k]
 				carved = append(carved[:k], carved[k+1:]...)
-				ref.Release(r)
+				setFree(r, true)
 				idx.Release(r)
 				check(fmt.Sprintf("Release(%+v)", r))
 			default: // query probe
@@ -135,7 +274,7 @@ func FuzzAlloc(f *testing.F) {
 		}
 		// Final sweep: release everything, expect one whole block again.
 		for _, r := range carved {
-			ref.Release(r)
+			setFree(r, true)
 			idx.Release(r)
 		}
 		check("final release sweep")

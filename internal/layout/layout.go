@@ -8,9 +8,7 @@
 // Placers see free space through core.Space, the allocator's indexed
 // query interface: each placement decision is answered by O(log n)
 // lookups instead of a copy and linear scan of the whole block list,
-// which is what lets placement scale to libc/libjvm-sized inputs. The
-// pre-index slice-scanning implementations survive in legacy.go as the
-// differential-testing and benchmarking reference.
+// which is what lets placement scale to libc/libjvm-sized inputs.
 package layout
 
 import (

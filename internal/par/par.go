@@ -39,13 +39,19 @@ func Workers(requested, n int) int {
 }
 
 // ScaledWorkers picks a worker count for n items of roughly uniform,
-// small cost: one worker per minPerWorker items, capped at GOMAXPROCS.
-// It returns 1 when the work is too small to be worth goroutines.
+// small cost: one worker per minPerWorker items. It returns 1 when the
+// work is too small to be worth goroutines.
 func ScaledWorkers(n, minPerWorker int) int {
 	if minPerWorker < 1 {
 		minPerWorker = 1
 	}
-	return Workers(n/minPerWorker, n)
+	w := n / minPerWorker
+	if w < 1 {
+		// Workers reads a count <= 0 as "use GOMAXPROCS"; too little
+		// work must mean one worker, not all of them.
+		return 1
+	}
+	return Workers(w, n)
 }
 
 // Chunks partitions [0, n) into at most `workers` contiguous chunks and

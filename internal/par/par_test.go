@@ -3,6 +3,7 @@ package par
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -28,6 +29,22 @@ func TestScaledWorkers(t *testing.T) {
 	}
 	if got := ScaledWorkers(1000, 1); got < 1 {
 		t.Errorf("ScaledWorkers(1000,1) = %d, want >= 1", got)
+	}
+}
+
+// TestScaledWorkersMultiCore pins GOMAXPROCS above 1 so a one-core
+// host cannot hide a too-small input fanning out to every core.
+func TestScaledWorkersMultiCore(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, c := range []struct{ n, per, want int }{
+		{10, 100, 1},
+		{0, 64, 1},
+		{63, 64, 1},
+		{128, 64, 2},
+	} {
+		if got := ScaledWorkers(c.n, c.per); got != c.want {
+			t.Errorf("ScaledWorkers(%d,%d) at GOMAXPROCS=4 = %d, want %d", c.n, c.per, got, c.want)
+		}
 	}
 }
 

@@ -33,7 +33,6 @@ import (
 	"zipr/internal/isa"
 	"zipr/internal/layout"
 	"zipr/internal/obs"
-	"zipr/internal/par"
 	"zipr/internal/transform"
 	"zipr/internal/zerr"
 )
@@ -152,10 +151,7 @@ func NewProfiler() *transform.Profiler { return &transform.Profiler{} }
 // hotRanges converts hot function entries into the original-address
 // spans the profile-guided placer classifies hints against. With no hot
 // entries it returns immediately — the common non-PGO configuration
-// used to walk every instruction of every function for nothing. Extent
-// computation is per-function independent, so large programs shard it
-// across workers; results are collected per function index, keeping the
-// output identical to the serial walk.
+// used to walk every instruction of every function for nothing.
 func hotRanges(prog *ir.Program, hotFuncs []uint32) []ir.Range {
 	if len(hotFuncs) == 0 {
 		return nil
@@ -165,34 +161,24 @@ func hotRanges(prog *ir.Program, hotFuncs []uint32) []ir.Range {
 		hotSet[a] = true
 	}
 	arch := prog.ISA()
-	extents := make([]ir.Range, len(prog.Functions))
-	workers := par.ScaledWorkers(len(prog.Functions), 64)
-	par.Chunks(workers, len(prog.Functions), func(_, lo, hi int) {
-		for fi := lo; fi < hi; fi++ {
-			f := prog.Functions[fi]
-			if f.Entry == nil || !hotSet[f.Entry.OrigAddr] {
+	var ranges []ir.Range
+	for _, f := range prog.Functions {
+		if f.Entry == nil || !hotSet[f.Entry.OrigAddr] {
+			continue
+		}
+		r := ir.Range{Start: f.Entry.OrigAddr, End: f.Entry.OrigAddr + 1}
+		for _, n := range f.Insts {
+			if n.OrigAddr == 0 {
 				continue
 			}
-			r := ir.Range{Start: f.Entry.OrigAddr, End: f.Entry.OrigAddr + 1}
-			for _, n := range f.Insts {
-				if n.OrigAddr == 0 {
-					continue
-				}
-				if n.OrigAddr < r.Start {
-					r.Start = n.OrigAddr
-				}
-				if end := n.OrigAddr + uint32(arch.InstLen(n.Inst)); end > r.End {
-					r.End = end
-				}
+			if n.OrigAddr < r.Start {
+				r.Start = n.OrigAddr
 			}
-			extents[fi] = r
+			if end := n.OrigAddr + uint32(arch.InstLen(n.Inst)); end > r.End {
+				r.End = end
+			}
 		}
-	})
-	var ranges []ir.Range
-	for _, r := range extents {
-		if r.End > r.Start {
-			ranges = append(ranges, r)
-		}
+		ranges = append(ranges, r)
 	}
 	return ir.MergeRanges(ranges)
 }
@@ -508,15 +494,6 @@ func Rewrite(input []byte, cfgv Config) ([]byte, *Report, error) {
 
 // RewriteBinary is Rewrite for in-memory binaries.
 func RewriteBinary(bin *binfmt.Binary, cfgv Config) (*binfmt.Binary, *Report, error) {
-	return rewriteBinaryPlacer(bin, cfgv, nil)
-}
-
-// rewriteBinaryPlacer is RewriteBinary with a placer-construction hook:
-// when newPlacer is non-nil it overrides the Config.Layout selection.
-// The hook exists for the byte-identity regression tests, which drive
-// full rewrites with the legacy slice-scanning placers and compare the
-// output against the indexed-allocator versions bit for bit.
-func rewriteBinaryPlacer(bin *binfmt.Binary, cfgv Config, newPlacer func(*ir.Program) core.Placer) (*binfmt.Binary, *Report, error) {
 	tr := cfgv.Trace
 	inj := cfgv.Chaos.WithTrace(tr)
 	root := tr.Start("rewrite")
@@ -531,7 +508,7 @@ func rewriteBinaryPlacer(bin *binfmt.Binary, cfgv Config, newPlacer func(*ir.Pro
 	default:
 		return nil, nil, fmt.Errorf("zipr: %w: unknown arbitration %q", zerr.ErrDisasm, cfgv.Arbitration)
 	}
-	out, report, err := rewriteOnce(bin, cfgv, newPlacer, arb, tr, inj)
+	out, report, err := rewriteOnce(bin, cfgv, arb, tr, inj)
 	if err != nil && arb == disasm.ArbWeighted {
 		// Weighted arbitration is advisory: its demotions shrink the pin
 		// set, and a downstream phase can fail on the reshaped inputs
@@ -540,7 +517,7 @@ func rewriteBinaryPlacer(bin *binfmt.Binary, cfgv Config, newPlacer func(*ir.Pro
 		// is the two-way baseline, so fall back to it deterministically
 		// rather than failing a rewrite the baseline can complete.
 		ferr := err
-		if out, report, err = rewriteOnce(bin, cfgv, newPlacer, disasm.ArbTwoWay, tr, inj); err == nil {
+		if out, report, err = rewriteOnce(bin, cfgv, disasm.ArbTwoWay, tr, inj); err == nil {
 			tr.Add("rewrite.arb-fallback", 1)
 			report.Warnings = append(report.Warnings,
 				fmt.Sprintf("weighted arbitration fell back to two-way: %v", ferr))
@@ -552,7 +529,7 @@ func rewriteBinaryPlacer(bin *binfmt.Binary, cfgv Config, newPlacer func(*ir.Pro
 }
 
 // rewriteOnce runs the three-phase pipeline under one arbitration mode.
-func rewriteOnce(bin *binfmt.Binary, cfgv Config, newPlacer func(*ir.Program) core.Placer, arb disasm.Arbitration, tr *Trace, inj *FaultInjector) (*binfmt.Binary, *Report, error) {
+func rewriteOnce(bin *binfmt.Binary, cfgv Config, arb disasm.Arbitration, tr *Trace, inj *FaultInjector) (*binfmt.Binary, *Report, error) {
 	arch, err := isa.ByName(cfgv.ISA)
 	if err != nil {
 		return nil, nil, fmt.Errorf("zipr: %w", zerr.Tag(zerr.ErrDisasm, err))
@@ -598,19 +575,15 @@ func rewriteOnce(bin *binfmt.Binary, cfgv Config, newPlacer func(*ir.Program) co
 
 	// Phase 3: reassembly under the selected layout.
 	var placer core.Placer
-	if newPlacer != nil {
-		placer = newPlacer(prog)
-	} else {
-		switch cfgv.Layout {
-		case LayoutOptimized, "":
-			placer = layout.Optimized{}
-		case LayoutDiversity:
-			placer = layout.NewDiversity(cfgv.Seed)
-		case LayoutProfileGuided:
-			placer = &layout.ProfileGuided{Hot: hotRanges(prog, cfgv.HotFuncs)}
-		default:
-			return nil, nil, fmt.Errorf("zipr: %w: unknown layout %q", zerr.ErrLayout, cfgv.Layout)
-		}
+	switch cfgv.Layout {
+	case LayoutOptimized, "":
+		placer = layout.Optimized{}
+	case LayoutDiversity:
+		placer = layout.NewDiversity(cfgv.Seed)
+	case LayoutProfileGuided:
+		placer = &layout.ProfileGuided{Hot: hotRanges(prog, cfgv.HotFuncs)}
+	default:
+		return nil, nil, fmt.Errorf("zipr: %w: unknown layout %q", zerr.ErrLayout, cfgv.Layout)
 	}
 	sp = tr.Start("reassemble")
 	res, err := core.Reassemble(prog, core.Options{Placer: placer, Trace: tr, Inject: inj})
@@ -620,7 +593,7 @@ func rewriteOnce(bin *binfmt.Binary, cfgv Config, newPlacer func(*ir.Program) co
 	}
 	report.Stats = Stats(res.Stats)
 	report.Layout = placer.Name()
-	if cfgv.CaptureSnapshot && newPlacer == nil && !inj.ArmedPipeline() && isa.IsDefault(arch) {
+	if cfgv.CaptureSnapshot && !inj.ArmedPipeline() && isa.IsDefault(arch) {
 		// Snapshot capture is best-effort: any ineligibility (custom
 		// transforms, no text, pipeline chaos) just leaves Snapshot nil.
 		if safe, frameSensitive := snapshotSafeTransforms(cfgv.Transforms); safe {

@@ -51,13 +51,19 @@ bench:
 #    >= 1/3);
 #  - arbitration pin bar (ISSUE 9): the corpus-aggregate pin count
 #    under weighted three-way arbitration must be strictly below the
-#    two-way baseline (ratio > 1, gated at 1.0001).
+#    two-way baseline (ratio > 1, gated at 1.0001);
+#  - delta serving bars: a served delta hit must stay at least 40x
+#    faster than the from-scratch rewrite of the stress input and make
+#    at least 1000x fewer allocations, so re-serializing the snapshot
+#    on the hit path fails the gate.
 benchgate:
 	$(GO) run ./cmd/benchjson -compare BenchmarkRewriteDeltaCold,BenchmarkRewriteDelta -min 5 BENCH_pipeline.json
 	$(GO) run ./cmd/benchjson -compare BenchmarkServeColdMiss,BenchmarkDiskTierHit -min 10 BENCH_pipeline.json
 	$(GO) run ./cmd/benchjson -compare BenchmarkDaemonHotCache,BenchmarkGatewayHotCache -min 0.333 BENCH_pipeline.json
 	$(GO) run ./cmd/benchjson -compare BenchmarkCorpusPinsTwoWay,BenchmarkCorpusPinsWeighted -metric pins -min 1.0001 BENCH_pipeline.json
 	$(GO) run ./cmd/benchjson -compare BenchmarkRewriteStressZVM32,BenchmarkRewriteStressZVM64 -min 0.666 BENCH_pipeline.json
+	$(GO) run ./cmd/benchjson -compare BenchmarkRewriteDeltaCold,BenchmarkServeDeltaHit -min 40 BENCH_pipeline.json
+	$(GO) run ./cmd/benchjson -compare BenchmarkRewriteDeltaCold,BenchmarkServeDeltaHit -metric allocs/op -min 1000 BENCH_pipeline.json
 
 # Allocator bench smoke: one iteration of the indexed-allocator
 # microbenches over 10k fragmented blocks, enough to catch a complexity

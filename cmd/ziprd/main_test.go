@@ -38,7 +38,7 @@ func buildImage(t *testing.T) []byte {
 func newTestDaemon(t *testing.T) *daemon {
 	t.Helper()
 	reg := obs.NewRegistry()
-	s := serve.New(serve.Options{Workers: 2, Trace: obs.New(), Registry: reg})
+	s := serve.New(serve.Options{Workers: 2, Registry: reg})
 	t.Cleanup(s.Close)
 	return newDaemon(s, reg, 10*time.Second)
 }

@@ -15,13 +15,6 @@
 //     from the entry point, exports, code pointers found by scanning
 //     data (jump tables, function-pointer tables), code-pointer-shaped
 //     absolute immediates, and branch targets of ambiguous regions.
-//
-// The expensive scans (data-segment words, in-text pointers, immediate
-// operands) fan out across GOMAXPROCS workers for large binaries: the
-// workers only *collect* candidate addresses, in shard order, and the
-// pins themselves are applied serially in exactly the order the old
-// single-threaded loop used, so pin sets, warning order and pin-
-// provenance counters are identical at any worker count.
 package cfg
 
 import (
@@ -36,7 +29,6 @@ import (
 	"zipr/internal/ir"
 	"zipr/internal/isa"
 	"zipr/internal/obs"
-	"zipr/internal/par"
 	"zipr/internal/zerr"
 )
 
@@ -54,91 +46,6 @@ type Options struct {
 	// Inject enables deterministic fault injection (bogus pin floods,
 	// losing the entry point's decode); nil disables it.
 	Inject *fault.Injector
-}
-
-// scanMinWords is the minimum number of scanned words per worker before
-// the pointer scans bother spawning goroutines.
-const scanMinWords = 16 << 10
-
-// collectTextPtrs scans data for stride-spaced little-endian words that
-// point into text and returns them in scan order. Large inputs shard
-// across workers; per-chunk collection concatenated in chunk order
-// reproduces the serial order exactly.
-func collectTextPtrs(data []byte, stride int, text *binfmt.Segment) []uint32 {
-	if len(data) < 4 {
-		return nil
-	}
-	nWords := (len(data)-4)/stride + 1
-	workers := par.ScaledWorkers(nWords, scanMinWords)
-	if workers == 1 {
-		var out []uint32
-		for off := 0; off+4 <= len(data); off += stride {
-			if v := binary.LittleEndian.Uint32(data[off:]); text.Contains(v) {
-				out = append(out, v)
-			}
-		}
-		return out
-	}
-	buckets := make([][]uint32, workers)
-	chunks := par.Chunks(workers, nWords, func(c, lo, hi int) {
-		var b []uint32
-		for w := lo; w < hi; w++ {
-			off := w * stride
-			if v := binary.LittleEndian.Uint32(data[off:]); text.Contains(v) {
-				b = append(b, v)
-			}
-		}
-		buckets[c] = b
-	})
-	var out []uint32
-	for c := 0; c < chunks; c++ {
-		out = append(out, buckets[c]...)
-	}
-	return out
-}
-
-// immCand is one candidate pin collected from instruction operands.
-type immCand struct {
-	addr uint32
-	lea  bool // "lea target" provenance instead of "immediate"
-}
-
-// immMinInsts is the minimum instruction count per worker for the
-// operand scan to shard.
-const immMinInsts = 32 << 10
-
-// collectImmCands walks the instruction list for address-shaped
-// absolute immediates and lea instructions that kept absolute targets,
-// sharding across workers for large programs; order matches the serial
-// walk.
-func collectImmCands(insts []*ir.Instruction) []immCand {
-	workers := par.ScaledWorkers(len(insts), immMinInsts)
-	scan := func(lo, hi int) []immCand {
-		var b []immCand
-		for _, node := range insts[lo:hi] {
-			switch node.Inst.Op {
-			case isa.OpMovI, isa.OpPushI32:
-				b = append(b, immCand{addr: uint32(node.Inst.Imm)})
-			case isa.OpLea:
-				if node.AbsTarget != 0 {
-					b = append(b, immCand{addr: node.AbsTarget, lea: true})
-				}
-			}
-		}
-		return b
-	}
-	if workers == 1 {
-		return scan(0, len(insts))
-	}
-	buckets := make([][]immCand, workers)
-	chunks := par.Chunks(workers, len(insts), func(c, lo, hi int) {
-		buckets[c] = scan(lo, hi)
-	})
-	var out []immCand
-	for c := 0; c < chunks; c++ {
-		out = append(out, buckets[c]...)
-	}
-	return out
 }
 
 // BuildTraced is Build with spans for IR lifting, pin analysis and
@@ -259,6 +166,15 @@ func BuildOpts(bin *binfmt.Binary, agg disasm.Aggregated, opts Options) (*ir.Pro
 			p.FixedEntries = append(p.FixedEntries, a)
 		}
 	}
+	// pinTextPtrs pins every stride-spaced little-endian word of data
+	// that points into text, in scan order.
+	pinTextPtrs := func(data []byte, stride int, why string) {
+		for off := 0; off+4 <= len(data); off += stride {
+			if v := binary.LittleEndian.Uint32(data[off:]); text.Contains(v) {
+				pinNode(v, why)
+			}
+		}
+	}
 
 	// Entry and exports.
 	if bin.Type == binfmt.Exec {
@@ -285,36 +201,32 @@ func BuildOpts(bin *binfmt.Binary, agg disasm.Aggregated, opts Options) (*ir.Pro
 		pinNode(e.Addr, "export")
 	}
 
-	// Data scan: aligned words in data segments. Workers collect the
-	// words that point into text (everything else is a no-op pin);
-	// applying them in scan order keeps pin provenance deterministic.
+	// Data scan: aligned words in data segments that point into text.
 	for si := range bin.Segments {
 		seg := &bin.Segments[si]
 		if seg.Kind != binfmt.Data {
 			continue
 		}
-		for _, v := range collectTextPtrs(seg.Data, 4, text) {
-			pinNode(v, "data pointer")
-		}
+		pinTextPtrs(seg.Data, 4, "data pointer")
 	}
 	// Fixed text ranges (jump tables and pointers embedded in text):
 	// scan every byte offset, conservatively.
 	for _, r := range p.Fixed {
-		sub := text.Data[r.Start-text.VAddr : r.End-text.VAddr]
-		for _, v := range collectTextPtrs(sub, 1, text) {
-			pinNode(v, "in-text pointer")
-		}
+		pinTextPtrs(text.Data[r.Start-text.VAddr:r.End-text.VAddr], 1, "in-text pointer")
 	}
 	// Absolute immediates that look like code addresses: the paper keeps
 	// such values unchanged and pins the address they name, so the value
 	// works both as a number and as an indirect target. Lea instructions
 	// that kept an absolute target (possible data, left in place) are
 	// likewise potential indirect-branch targets.
-	for _, c := range collectImmCands(p.Insts) {
-		if c.lea {
-			pinNode(c.addr, "lea target")
-		} else {
-			pinNode(c.addr, "immediate")
+	for _, node := range p.Insts {
+		switch node.Inst.Op {
+		case isa.OpMovI, isa.OpPushI32:
+			pinNode(uint32(node.Inst.Imm), "immediate")
+		case isa.OpLea:
+			if node.AbsTarget != 0 {
+				pinNode(node.AbsTarget, "lea target")
+			}
 		}
 	}
 	// Direct branch targets of instructions decoded in ambiguous ranges,

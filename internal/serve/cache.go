@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -46,8 +47,6 @@ type entry struct {
 	stats    zipr.Stats
 	layout   string
 	warnings []string
-
-	prev, next *entry // LRU list, most recent at head
 }
 
 // lruCache is a byte-budgeted LRU over rewrite outputs. Not safe for
@@ -55,26 +54,24 @@ type entry struct {
 type lruCache struct {
 	budget  int64
 	bytes   int64
-	entries map[Key]*entry
-	head    *entry // most recently used
-	tail    *entry // least recently used
+	entries map[Key]*list.Element // Value is *entry
+	lru     list.List             // most recently used at front
 	evicted int64
 }
 
 func newLRUCache(budget int64) *lruCache {
-	return &lruCache{budget: budget, entries: make(map[Key]*entry)}
+	return &lruCache{budget: budget, entries: make(map[Key]*list.Element)}
 }
 
 // get returns the entry for k (promoting it to most-recently-used) or
 // nil.
 func (c *lruCache) get(k Key) *entry {
-	e := c.entries[k]
-	if e == nil {
+	el := c.entries[k]
+	if el == nil {
 		return nil
 	}
-	c.unlink(e)
-	c.pushFront(e)
-	return e
+	c.lru.MoveToFront(el)
+	return el.Value.(*entry)
 }
 
 // put inserts or replaces the entry for e.key and evicts from the cold
@@ -83,51 +80,27 @@ func (c *lruCache) get(k Key) *entry {
 // then be evicted by the next insert.
 func (c *lruCache) put(e *entry) {
 	if old := c.entries[e.key]; old != nil {
-		c.remove(old)
+		c.remove(old.Value.(*entry))
 	}
 	if int64(len(e.out)) > c.budget {
 		return
 	}
-	c.entries[e.key] = e
-	c.pushFront(e)
+	c.entries[e.key] = c.lru.PushFront(e)
 	c.bytes += int64(len(e.out))
-	for c.bytes > c.budget && c.tail != nil && c.tail != e {
+	for c.bytes > c.budget && c.lru.Len() > 1 {
 		c.evicted++
-		c.remove(c.tail)
+		c.remove(c.lru.Back().Value.(*entry))
 	}
 }
 
-// remove drops e from the cache entirely.
+// remove drops e from the cache entirely; a no-op when e is no longer
+// the entry stored under its key.
 func (c *lruCache) remove(e *entry) {
-	if c.entries[e.key] != e {
+	el := c.entries[e.key]
+	if el == nil || el.Value != e {
 		return
 	}
 	delete(c.entries, e.key)
-	c.unlink(e)
+	c.lru.Remove(el)
 	c.bytes -= int64(len(e.out))
-}
-
-func (c *lruCache) pushFront(e *entry) {
-	e.prev, e.next = nil, c.head
-	if c.head != nil {
-		c.head.prev = e
-	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
-	}
-}
-
-func (c *lruCache) unlink(e *entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else if c.head == e {
-		c.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else if c.tail == e {
-		c.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
 }

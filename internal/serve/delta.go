@@ -16,6 +16,7 @@ package serve
 // restarted daemon keeps its ancestry.
 
 import (
+	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -63,8 +64,6 @@ type snapEntry struct {
 	layout   string
 	warnings []string
 	disk     bool // loaded from the disk tier's snapshot slot
-
-	prev, next *snapEntry // LRU list, most recent at head
 }
 
 // snapStore is the byte-budgeted LRU of placement snapshots with the
@@ -73,17 +72,16 @@ type snapEntry struct {
 type snapStore struct {
 	budget  int64
 	bytes   int64
-	entries map[Key]*snapEntry
+	entries map[Key]*list.Element   // Value is *snapEntry
+	lru     list.List               // most recently stored at front
 	byAnc   map[ancKey][]*snapEntry // MRU order, bounded by snapCandidates
-	head    *snapEntry
-	tail    *snapEntry
 	evicted int64
 }
 
 func newSnapStore(budget int64) *snapStore {
 	return &snapStore{
 		budget:  budget,
-		entries: make(map[Key]*snapEntry),
+		entries: make(map[Key]*list.Element),
 		byAnc:   make(map[ancKey][]*snapEntry),
 	}
 }
@@ -97,35 +95,38 @@ func (st *snapStore) candidates(anc ancKey) []*snapEntry {
 
 // put inserts e, replacing any entry under the same key, and evicts
 // from the cold end until the byte budget holds. Oversized snapshots
-// are not stored at all.
+// are not stored at all. An ancestor index entry already holding
+// snapCandidates snapshots drops its oldest: no request could be
+// offered it, so it must not keep spending the budget.
 func (st *snapStore) put(e *snapEntry) {
 	if old := st.entries[e.key]; old != nil {
-		st.remove(old)
+		st.remove(old.Value.(*snapEntry))
 	}
 	if e.size > st.budget {
 		return
 	}
-	st.entries[e.key] = e
-	st.pushFront(e)
-	st.bytes += e.size
-	lst := append([]*snapEntry{e}, st.byAnc[e.anc]...)
-	if len(lst) > snapCandidates {
-		lst = lst[:snapCandidates]
+	lst := st.byAnc[e.anc]
+	for ; len(lst) >= snapCandidates; lst = lst[:len(lst)-1] {
+		st.remove(lst[len(lst)-1])
 	}
-	st.byAnc[e.anc] = lst
-	for st.bytes > st.budget && st.tail != nil && st.tail != e {
+	st.entries[e.key] = st.lru.PushFront(e)
+	st.bytes += e.size
+	st.byAnc[e.anc] = append([]*snapEntry{e}, lst...)
+	for st.bytes > st.budget && st.lru.Len() > 1 {
 		st.evicted++
-		st.remove(st.tail)
+		st.remove(st.lru.Back().Value.(*snapEntry))
 	}
 }
 
-// remove drops e entirely (budget, LRU list and ancestor index).
+// remove drops e entirely (budget, LRU list and ancestor index); a
+// no-op when e is no longer the entry stored under its key.
 func (st *snapStore) remove(e *snapEntry) {
-	if st.entries[e.key] != e {
+	el := st.entries[e.key]
+	if el == nil || el.Value != e {
 		return
 	}
 	delete(st.entries, e.key)
-	st.unlink(e)
+	st.lru.Remove(el)
 	st.bytes -= e.size
 	lst := st.byAnc[e.anc]
 	for i, x := range lst {
@@ -139,31 +140,6 @@ func (st *snapStore) remove(e *snapEntry) {
 	} else {
 		st.byAnc[e.anc] = lst
 	}
-}
-
-func (st *snapStore) pushFront(e *snapEntry) {
-	e.prev, e.next = nil, st.head
-	if st.head != nil {
-		st.head.prev = e
-	}
-	st.head = e
-	if st.tail == nil {
-		st.tail = e
-	}
-}
-
-func (st *snapStore) unlink(e *snapEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else if st.head == e {
-		st.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else if st.tail == e {
-		st.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
 }
 
 // loadSnapshots pulls an ancestor's snapshot from the disk tier's
@@ -211,9 +187,7 @@ func (s *Server) storeSnapshot(key Key, anc ancKey, snap *core.Snapshot, rep *zi
 	evicted := s.snaps.evicted - before
 	s.syncSnapGaugesLocked()
 	s.mu.Unlock()
-	if evicted > 0 {
-		s.tr.Add("serve.snapshot.evict", evicted)
-	}
+	s.tel.snapEvictions.Add(evicted)
 	if s.disk != nil {
 		// Marshal re-serializes the whole snapshot; only the disk tier
 		// needs the blob.
@@ -261,7 +235,6 @@ func (s *Server) tryDelta(key Key, input []byte, cfg zipr.Config) (out []byte, r
 				s.stats.DeltaStale++
 				s.syncSnapGaugesLocked()
 				s.mu.Unlock()
-				s.tr.Add("serve.delta.stale", 1)
 				s.tel.deltaStale.Add(1)
 				if e.disk {
 					s.disk.delSnap(e.anc.dbKey())
@@ -284,11 +257,7 @@ func (s *Server) tryDelta(key Key, input []byte, cfg zipr.Config) (out []byte, r
 		} else {
 			ns = nil
 		}
-		s.tr.Add("serve.delta.hit", 1)
-		s.mu.Lock()
-		s.stats.DeltaHits++
-		s.mu.Unlock()
-		s.span("serve.delta")
+		s.count(&s.stats.DeltaHits)
 		return res, rep, ns, true
 	}
 	return nil, nil, nil, false
@@ -297,8 +266,6 @@ func (s *Server) tryDelta(key Key, input []byte, cfg zipr.Config) (out []byte, r
 // syncSnapGaugesLocked publishes snapshot-store occupancy gauges;
 // caller holds s.mu.
 func (s *Server) syncSnapGaugesLocked() {
-	s.tr.SetGauge("serve.snapshot.bytes", s.snaps.bytes)
-	s.tr.SetGauge("serve.snapshot.entries", int64(len(s.snaps.entries)))
 	s.tel.snapBytes.Set(s.snaps.bytes)
 	s.tel.snapCount.Set(int64(len(s.snaps.entries)))
 }

@@ -259,6 +259,30 @@ func TestSnapshotBudgetEviction(t *testing.T) {
 	}
 }
 
+// TestSnapStoreDropsUnreachable: an ancestor index entry offers at most
+// snapCandidates snapshots, so older snapshots under the same ancestor
+// must leave the store instead of spending its budget.
+func TestSnapStoreDropsUnreachable(t *testing.T) {
+	st := newSnapStore(1 << 20)
+	anc := ancKey{inLen: 64}
+	for i := 0; i < snapCandidates+2; i++ {
+		var k Key
+		k[0] = byte(i + 1)
+		st.put(&snapEntry{key: k, anc: anc, size: 10})
+	}
+	if len(st.entries) != snapCandidates {
+		t.Fatalf("store holds %d entries, want %d", len(st.entries), snapCandidates)
+	}
+	if want := int64(10 * snapCandidates); st.bytes != want {
+		t.Fatalf("store bytes = %d, want %d", st.bytes, want)
+	}
+	for _, e := range st.candidates(anc) {
+		if st.entries[e.key] == nil {
+			t.Fatalf("candidate %v is not stored", e.key[0])
+		}
+	}
+}
+
 // TestDeltaHitAllocsWithoutDiskTier bounds the allocations of one delta
 // hit on a server with no disk tier. Only the disk tier needs the
 // serialized snapshot, so a delta hit must not pay for Snapshot.Marshal

@@ -31,6 +31,7 @@ package serve
 //     resets to insertion order across a restart).
 
 import (
+	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -72,8 +73,6 @@ type diskEntry struct {
 	size   int64
 	sum    [sha256.Size]byte
 	layout string
-
-	prev, next *diskEntry // LRU list, most recent at head
 }
 
 // diskRecord is the journal line shape.
@@ -102,9 +101,8 @@ type DiskTier struct {
 	budget int64
 
 	mu      sync.Mutex
-	entries map[Key]*diskEntry
-	head    *diskEntry
-	tail    *diskEntry
+	entries map[Key]*list.Element // Value is *diskEntry
+	lru     list.List             // most recently used at front
 	bytes   int64
 	journal *os.File
 	ops     int64 // journal lines written since open/compaction
@@ -128,7 +126,7 @@ func OpenDiskTier(dir string, budget int64) (*DiskTier, error) {
 	t := &DiskTier{
 		dir:     dir,
 		budget:  budget,
-		entries: make(map[Key]*diskEntry),
+		entries: make(map[Key]*list.Element),
 		wq:      make(chan diskJob, diskQueueDepth),
 	}
 	for _, sub := range []string{"objects", "tmp", "quarantine"} {
@@ -242,8 +240,7 @@ func (t *DiskTier) recover() error {
 		if sb, err := hex.DecodeString(r.Sum); err == nil && len(sb) == len(e.sum) {
 			copy(e.sum[:], sb)
 		}
-		t.entries[key] = e
-		t.pushFront(e)
+		t.entries[key] = t.lru.PushFront(e)
 		t.bytes += e.size
 		indexed[r.Key] = true
 	}
@@ -288,8 +285,8 @@ func (t *DiskTier) compact() {
 	}
 	enc := json.NewEncoder(f)
 	n := int64(0)
-	for e := t.tail; e != nil; e = e.prev { // oldest first
-		enc.Encode(putRecord(e))
+	for el := t.lru.Back(); el != nil; el = el.Prev() { // oldest first
+		enc.Encode(putRecord(el.Value.(*diskEntry)))
 		n++
 	}
 	if f.Sync() != nil || f.Close() != nil {
@@ -434,10 +431,9 @@ func (t *DiskTier) write(job diskJob) {
 	}
 	t.mu.Lock()
 	if old := t.entries[e.key]; old != nil {
-		t.removeLocked(old, false)
+		t.removeLocked(old.Value.(*diskEntry), false)
 	}
-	t.entries[e.key] = e
-	t.pushFront(e)
+	t.entries[e.key] = t.lru.PushFront(e)
 	t.bytes += e.size
 	t.appendJournalLocked(putRecord(e))
 	t.evictLocked(e)
@@ -455,12 +451,13 @@ func (t *DiskTier) get(key Key, inj *fault.Injector) (data []byte, layout string
 		return nil, "", false
 	}
 	t.mu.Lock()
-	e := t.entries[key]
-	if e == nil {
+	el := t.entries[key]
+	if el == nil {
 		t.stats.Misses++
 		t.mu.Unlock()
 		return nil, "", false
 	}
+	e := el.Value.(*diskEntry)
 	sum, lay := e.sum, e.layout
 	t.mu.Unlock()
 
@@ -473,9 +470,8 @@ func (t *DiskTier) get(key Key, inj *fault.Injector) (data []byte, layout string
 		return nil, "", false
 	}
 	t.mu.Lock()
-	if cur := t.entries[key]; cur == e {
-		t.unlink(e)
-		t.pushFront(e)
+	if t.entries[key] == el {
+		t.lru.MoveToFront(el)
 	}
 	t.stats.Hits++
 	t.mu.Unlock()
@@ -504,8 +500,8 @@ func (t *DiskTier) delSnap(anc string) {
 	}
 	key := snapDiskKey(anc)
 	t.mu.Lock()
-	if e := t.entries[key]; e != nil {
-		t.removeLocked(e, true)
+	if el := t.entries[key]; el != nil {
+		t.removeLocked(el.Value.(*diskEntry), true)
 		t.syncGaugesLocked()
 	}
 	t.mu.Unlock()
@@ -529,9 +525,7 @@ func snapDiskKey(anc string) Key {
 // (false: it vanished; nothing to move).
 func (t *DiskTier) quarantine(key Key, e *diskEntry, fileOK bool) {
 	t.mu.Lock()
-	if cur := t.entries[key]; cur == e {
-		t.removeLocked(e, true)
-	}
+	t.removeLocked(e, true)
 	t.stats.Corrupt++
 	if t.tel != nil {
 		t.tel.diskCorrupt.Add(1)
@@ -544,13 +538,15 @@ func (t *DiskTier) quarantine(key Key, e *diskEntry, fileOK bool) {
 }
 
 // removeLocked drops e from the index, recency list and byte total,
-// optionally journaling the deletion. Caller holds t.mu.
+// optionally journaling the deletion; a no-op when e is no longer the
+// entry indexed under its key. Caller holds t.mu.
 func (t *DiskTier) removeLocked(e *diskEntry, journal bool) {
-	if t.entries[e.key] != e {
+	el := t.entries[e.key]
+	if el == nil || el.Value != e {
 		return
 	}
 	delete(t.entries, e.key)
-	t.unlink(e)
+	t.lru.Remove(el)
 	t.bytes -= e.size
 	if journal {
 		t.appendJournalLocked(diskRecord{Op: "del", Key: e.key.String()})
@@ -561,8 +557,8 @@ func (t *DiskTier) removeLocked(e *diskEntry, journal bool) {
 // when non-nil, is never evicted (the entry just inserted). Caller
 // holds t.mu.
 func (t *DiskTier) evictLocked(keep *diskEntry) {
-	for t.bytes > t.budget && t.tail != nil && t.tail != keep {
-		victim := t.tail
+	for t.bytes > t.budget && t.lru.Len() > 0 && t.lru.Back().Value != keep {
+		victim := t.lru.Back().Value.(*diskEntry)
 		t.stats.Evicted++
 		t.removeLocked(victim, true)
 		os.Remove(t.objectPath(victim.key))
@@ -581,29 +577,4 @@ func (t *DiskTier) appendJournalLocked(r diskRecord) {
 	}
 	t.journal.Write(append(b, '\n'))
 	t.ops++
-}
-
-func (t *DiskTier) pushFront(e *diskEntry) {
-	e.prev, e.next = nil, t.head
-	if t.head != nil {
-		t.head.prev = e
-	}
-	t.head = e
-	if t.tail == nil {
-		t.tail = e
-	}
-}
-
-func (t *DiskTier) unlink(e *diskEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else if t.head == e {
-		t.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else if t.tail == e {
-		t.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
 }

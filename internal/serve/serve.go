@@ -18,14 +18,13 @@
 //     saturated queue or an expired deadline rejects with the typed
 //     zerr.ErrBusy class instead of queueing unboundedly.
 //
-// Observability lands on two sinks. Options.Trace carries the unlabeled
-// per-run view: serve.cache.{hit,miss,evict,corrupt} counters,
-// queue-depth and cache-size gauges, and one detached span per request.
+// Observability has two views. Stats is the point-in-time flat view:
+// cache, admission, delta and disk-tier counters plus occupancy.
 // Options.Registry carries the service-lifetime labeled view scraped by
 // ziprd's /metrics: serve.request.total and rolling latency quantiles
-// keyed by outcome (hit|miss|shared|busy|error), queue wait, and cache
-// occupancy — see RewriteMeta, which classifies every request into one
-// of those outcomes. Fault injection (Options.Chaos) arms the
+// keyed by outcome (hit|miss|shared|delta|busy|error), queue wait, and
+// cache occupancy — see RewriteMeta, which classifies every request
+// into one of those outcomes. Fault injection (Options.Chaos) arms the
 // serve-specific kinds fault.CacheCorrupt (hit-path corruption, which
 // the digest check must turn into a verified fallback rewrite) and
 // fault.QueueDrop (spurious admission rejection, which must surface as
@@ -73,15 +72,11 @@ type Options struct {
 	// lifecycle (OpenDiskTier / Close); a tier may not be shared by two
 	// live Servers.
 	Disk *DiskTier
-	// Trace receives the serving layer's counters, gauges and
-	// per-request spans; nil disables instrumentation.
-	Trace *obs.Trace
 	// Registry receives service-lifetime labeled metrics: request
 	// totals and rolling latency quantiles by outcome
-	// (serve.request.*{outcome=hit|miss|shared|busy|error}), queue
-	// wait/depth, and cache occupancy. Unlike Trace — per-run,
-	// unlabeled, dumped on Close — the registry is built for
-	// continuous scraping (ziprd's /metrics). Nil disables it.
+	// (serve.request.*{outcome=hit|miss|shared|delta|busy|error}), queue
+	// wait/depth, and cache occupancy, built for continuous scraping
+	// (ziprd's /metrics). Nil disables it.
 	Registry *obs.Registry
 	// Chaos arms deterministic fault injection for the serving layer
 	// (fault.CacheCorrupt, fault.QueueDrop) and is threaded into each
@@ -131,7 +126,6 @@ type Stats struct {
 // New; all methods are safe for concurrent use.
 type Server struct {
 	opts Options
-	tr   *obs.Trace
 	reg  *obs.Registry
 	tel  telemetry
 	inj  *fault.Injector
@@ -172,10 +166,9 @@ func New(opts Options) *Server {
 	}
 	s := &Server{
 		opts:     opts,
-		tr:       opts.Trace,
 		reg:      opts.Registry,
 		tel:      newTelemetry(opts.Registry),
-		inj:      opts.Chaos.WithTrace(opts.Trace),
+		inj:      opts.Chaos,
 		sem:      make(chan struct{}, opts.Workers),
 		inflight: make(map[Key]*call),
 	}
@@ -262,7 +255,6 @@ func (s *Server) RewriteMeta(ctx context.Context, input []byte, cfg zipr.Config)
 	out, rep, meta, err := s.rewrite(ctx, input, cfg)
 	meta.Wall = time.Since(start)
 	s.tel.observe(meta)
-	s.tr.Observe("serve.request.wall-us", meta.Wall.Microseconds())
 	return out, rep, meta, err
 }
 
@@ -295,19 +287,16 @@ func (s *Server) rewrite(ctx context.Context, input []byte, cfg zipr.Config) ([]
 			rep := s.hitReport(e, len(input))
 			s.mu.Unlock()
 			if sha256.Sum256(out) == sum {
-				s.count("serve.cache.hit", &s.stats.Hits)
-				s.span("serve.hit")
+				s.count(&s.stats.Hits)
 				meta.Outcome, meta.Tier = OutcomeHit, TierRAM
 				return out, rep, meta, nil
 			}
 			// Verified fallback: drop the poisoned entry and rewrite.
 			s.mu.Lock()
-			if e2 := s.cache.entries[key]; e2 == e {
-				s.cache.remove(e)
-				s.syncCacheGaugesLocked()
-			}
+			s.cache.remove(e)
+			s.syncCacheGaugesLocked()
 			s.mu.Unlock()
-			s.count("serve.cache.corrupt", &s.stats.Corrupt)
+			s.count(&s.stats.Corrupt)
 			s.tel.corrupt.Add(1)
 			s.mu.Lock()
 		}
@@ -322,15 +311,10 @@ func (s *Server) rewrite(ctx context.Context, input []byte, cfg zipr.Config) ([]
 			rep := &zipr.Report{Layout: layout, InputSize: len(input), OutputSize: len(data)}
 			if s.cache != nil {
 				s.cachePut(key, data, rep)
-				s.mu.Lock()
-				s.stats.DiskPromotes++
-				s.mu.Unlock()
-				s.tr.Add("serve.disk.promote", 1)
+				s.count(&s.stats.DiskPromotes)
 				s.tel.diskPromotes.Add(1)
 			}
-			s.tr.Add("serve.disk.hit", 1)
 			s.tel.diskHits.Add(1)
-			s.span("serve.disk-hit")
 			meta.Outcome, meta.Tier = OutcomeHit, TierDisk
 			return data, rep, meta, nil
 		}
@@ -338,7 +322,7 @@ func (s *Server) rewrite(ctx context.Context, input []byte, cfg zipr.Config) ([]
 	}
 	if c, ok := s.inflight[key]; ok {
 		s.mu.Unlock()
-		s.count("serve.singleflight.shared", &s.stats.Shared)
+		s.count(&s.stats.Shared)
 		select {
 		case <-c.done:
 			if c.err != nil {
@@ -349,7 +333,7 @@ func (s *Server) rewrite(ctx context.Context, input []byte, cfg zipr.Config) ([]
 			meta.Outcome = OutcomeShared
 			return append([]byte(nil), c.out...), &rep, meta, nil
 		case <-ctx.Done():
-			s.count("serve.deadline.expired", &s.stats.Expired)
+			s.count(&s.stats.Expired)
 			meta.Outcome = OutcomeBusy
 			return nil, nil, meta, fmt.Errorf("serve: %w: %v while awaiting shared run", zerr.ErrBusy, ctx.Err())
 		}
@@ -398,9 +382,8 @@ func (s *Server) rewrite(ctx context.Context, input []byte, cfg zipr.Config) ([]
 		meta.Outcome = OutcomeBusy
 		return nil, nil, meta, err
 	}
-	sp := s.tr.StartDetached("serve.miss")
-	s.count("serve.cache.miss", &s.stats.Misses)
-	s.count("serve.pipeline.runs", &s.stats.PipelineRuns)
+	s.count(&s.stats.Misses)
+	s.count(&s.stats.PipelineRuns)
 	s.tel.runs.Add(1)
 	rcfg := cfg
 	if deltaOK {
@@ -412,7 +395,6 @@ func (s *Server) rewrite(ctx context.Context, input []byte, cfg zipr.Config) ([]
 	}
 	out, rep, err := zipr.Rewrite(input, rcfg)
 	<-s.sem
-	sp.End()
 	if err != nil {
 		finish(nil, nil, err)
 		meta.Outcome = outcomeOfError(err)
@@ -450,7 +432,7 @@ func outcomeOfError(err error) string {
 // reports how long the request waited queued (0 on the fast path).
 func (s *Server) admit(ctx context.Context, site uint32) (time.Duration, error) {
 	if s.inj.Fires(fault.QueueDrop, site) {
-		s.count("serve.admit.rejected", &s.stats.Rejected)
+		s.count(&s.stats.Rejected)
 		return 0, fmt.Errorf("serve: %w: admission dropped (%w)", zerr.ErrBusy, zerr.ErrInjected)
 	}
 	select {
@@ -461,18 +443,16 @@ func (s *Server) admit(ctx context.Context, site uint32) (time.Duration, error) 
 	s.mu.Lock()
 	if s.stats.QueueDepth >= s.opts.QueueDepth {
 		s.mu.Unlock()
-		s.count("serve.admit.rejected", &s.stats.Rejected)
+		s.count(&s.stats.Rejected)
 		return 0, fmt.Errorf("serve: %w: queue full (%d waiting)", zerr.ErrBusy, s.opts.QueueDepth)
 	}
 	s.stats.QueueDepth++
-	s.tr.SetGauge("serve.queue.depth", int64(s.stats.QueueDepth))
 	s.tel.queueDepth.Set(int64(s.stats.QueueDepth))
 	s.mu.Unlock()
 	queued := time.Now()
 	defer func() {
 		s.mu.Lock()
 		s.stats.QueueDepth--
-		s.tr.SetGauge("serve.queue.depth", int64(s.stats.QueueDepth))
 		s.tel.queueDepth.Set(int64(s.stats.QueueDepth))
 		s.mu.Unlock()
 	}()
@@ -480,7 +460,7 @@ func (s *Server) admit(ctx context.Context, site uint32) (time.Duration, error) 
 	case s.sem <- struct{}{}:
 		return time.Since(queued), nil
 	case <-ctx.Done():
-		s.count("serve.deadline.expired", &s.stats.Expired)
+		s.count(&s.stats.Expired)
 		return time.Since(queued), fmt.Errorf("serve: %w: %v while queued", zerr.ErrBusy, ctx.Err())
 	}
 }
@@ -503,10 +483,7 @@ func (s *Server) cachePut(key Key, out []byte, rep *zipr.Report) {
 	s.stats.Evictions += evicted
 	s.syncCacheGaugesLocked()
 	s.mu.Unlock()
-	if evicted > 0 {
-		s.tr.Add("serve.cache.evict", evicted)
-		s.tel.evictions.Add(evicted)
-	}
+	s.tel.evictions.Add(evicted)
 }
 
 // hitReport reconstructs the report a cold rewrite of this entry
@@ -521,25 +498,16 @@ func (s *Server) hitReport(e *entry, inputSize int) *zipr.Report {
 	}
 }
 
-// count bumps a trace counter and the matching Stats field.
-func (s *Server) count(name string, field *int64) {
-	s.tr.Add(name, 1)
+// count bumps a Stats counter.
+func (s *Server) count(field *int64) {
 	s.mu.Lock()
 	*field++
 	s.mu.Unlock()
 }
 
-// span records an instantaneous per-request span (hits have no
-// meaningful duration worth sampling memory stats for).
-func (s *Server) span(name string) {
-	s.tr.Record(name, 0, 1)
-}
-
 // syncCacheGaugesLocked publishes cache occupancy gauges; caller holds
 // s.mu.
 func (s *Server) syncCacheGaugesLocked() {
-	s.tr.SetGauge("serve.cache.bytes", s.cache.bytes)
-	s.tr.SetGauge("serve.cache.entries", int64(len(s.cache.entries)))
 	s.tel.cacheBytes.Set(s.cache.bytes)
 	s.tel.cacheCount.Set(int64(len(s.cache.entries)))
 }

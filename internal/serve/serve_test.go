@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -93,14 +94,32 @@ func TestCacheKeyCanonical(t *testing.T) {
 	}
 }
 
+// seriesValue returns the value of the registry series name{labels},
+// failing the test when the family or series is missing.
+func seriesValue(t *testing.T, reg *obs.Registry, name string, labels ...string) int64 {
+	t.Helper()
+	for _, fam := range reg.Snapshot() {
+		if fam.Name != name {
+			continue
+		}
+		for _, se := range fam.Series {
+			if slices.Equal(se.Labels, labels) {
+				return se.Value
+			}
+		}
+	}
+	t.Fatalf("registry has no series %s%v", name, labels)
+	return 0
+}
+
 // TestHitIdenticalAndZeroPipelineWork: a hot request must return bytes
 // identical to the cold rewrite while performing zero disassembly/IR
 // work, asserted through the obs counters of a per-request trace (the
 // pipeline bumps rewrite.count and phase counters on every real run).
 func TestHitIdenticalAndZeroPipelineWork(t *testing.T) {
 	in := testImages(t)[0]
-	tr := obs.New()
-	s := New(Options{Workers: 2, Trace: tr})
+	reg := obs.NewRegistry()
+	s := New(Options{Workers: 2, Registry: reg})
 	defer s.Close()
 
 	coldTr := obs.New()
@@ -130,7 +149,7 @@ func TestHitIdenticalAndZeroPipelineWork(t *testing.T) {
 	if hotRep.Stats != coldRep.Stats || hotRep.Layout != coldRep.Layout {
 		t.Fatalf("hit report differs: %+v vs %+v", hotRep, coldRep)
 	}
-	if hits, misses := tr.Counter("serve.cache.hit"), tr.Counter("serve.cache.miss"); hits != 1 || misses != 1 {
+	if hits, misses := seriesValue(t, reg, "serve.request.total", OutcomeHit), seriesValue(t, reg, "serve.request.total", OutcomeMiss); hits != 1 || misses != 1 {
 		t.Fatalf("hit/miss counters = %d/%d, want 1/1", hits, misses)
 	}
 	st := s.Stats()
@@ -297,7 +316,7 @@ func TestLRUEviction(t *testing.T) {
 // sized for roughly one rewritten image.
 func TestServerEviction(t *testing.T) {
 	images := testImages(t)
-	tr := obs.New()
+	reg := obs.NewRegistry()
 	// First, learn the output sizes to pick a budget that holds any one
 	// output but never two.
 	probe := New(Options{Workers: 1})
@@ -314,7 +333,7 @@ func TestServerEviction(t *testing.T) {
 	probe.Close()
 
 	budget := int64(largest + 16)
-	s := New(Options{Workers: 1, CacheBytes: budget, Trace: tr})
+	s := New(Options{Workers: 1, CacheBytes: budget, Registry: reg})
 	defer s.Close()
 	for _, img := range images {
 		if _, _, err := s.Rewrite(context.Background(), img, nullCfg()); err != nil {
@@ -328,8 +347,8 @@ func TestServerEviction(t *testing.T) {
 	if st.CacheBytes > budget {
 		t.Fatalf("cache bytes %d exceed budget %d", st.CacheBytes, budget)
 	}
-	if tr.Counter("serve.cache.evict") != st.Evictions {
-		t.Fatalf("evict counter %d != stats %d", tr.Counter("serve.cache.evict"), st.Evictions)
+	if got := seriesValue(t, reg, "serve.cache.evictions"); got != st.Evictions {
+		t.Fatalf("evict counter %d != stats %d", got, st.Evictions)
 	}
 }
 
@@ -358,8 +377,8 @@ func TestAdmissionQueueFullRejects(t *testing.T) {
 // before a worker frees up must fail with ErrBusy, and the queue-depth
 // gauge must return to zero.
 func TestAdmissionDeadlineExpires(t *testing.T) {
-	tr := obs.New()
-	s := New(Options{Workers: 1, QueueDepth: 4, Trace: tr})
+	reg := obs.NewRegistry()
+	s := New(Options{Workers: 1, QueueDepth: 4, Registry: reg})
 	defer s.Close()
 	s.sem <- struct{}{} // worker never frees
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
@@ -371,8 +390,8 @@ func TestAdmissionDeadlineExpires(t *testing.T) {
 	if st := s.Stats(); st.Expired != 1 || st.QueueDepth != 0 {
 		t.Fatalf("stats = %+v, want 1 expiry and empty queue", st)
 	}
-	if tr.Gauge("serve.queue.depth") != 0 {
-		t.Fatalf("queue gauge = %d, want 0", tr.Gauge("serve.queue.depth"))
+	if got := seriesValue(t, reg, "serve.queue.depth"); got != 0 {
+		t.Fatalf("queue gauge = %d, want 0", got)
 	}
 }
 
@@ -398,8 +417,8 @@ func TestChaosCacheCorruptFallsBack(t *testing.T) {
 	if inj == nil {
 		t.Fatal("no firing seed found in 1000 tries")
 	}
-	tr := obs.New()
-	s := New(Options{Workers: 1, Trace: tr, Chaos: inj})
+	reg := obs.NewRegistry()
+	s := New(Options{Workers: 1, Registry: reg, Chaos: inj})
 	defer s.Close()
 	cold, _, err := s.Rewrite(context.Background(), in, cfg)
 	if err != nil {
@@ -419,8 +438,8 @@ func TestChaosCacheCorruptFallsBack(t *testing.T) {
 	if st.PipelineRuns != 2 {
 		t.Fatalf("pipeline runs = %d, want 2 (cold + verified fallback)", st.PipelineRuns)
 	}
-	if tr.Counter("serve.cache.corrupt") != st.Corrupt {
-		t.Fatal("corrupt counter not mirrored to trace")
+	if got := seriesValue(t, reg, "serve.cache.corrupt"); got != st.Corrupt {
+		t.Fatalf("corrupt counter %d != stats %d", got, st.Corrupt)
 	}
 }
 

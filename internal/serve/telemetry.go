@@ -78,18 +78,19 @@ type RequestMeta struct {
 // handles. Every handle is nil-safe, so a server without a Registry
 // carries a zero telemetry struct and pays only nil checks.
 type telemetry struct {
-	total      map[string]*obs.Counter      // serve.request.total{outcome}
-	latency    map[string]*obs.WindowSeries // serve.request.latency{outcome}, µs
-	queueWait  *obs.WindowSeries            // serve.queue.wait, µs
-	queueDepth *obs.Gauge                   // serve.queue.depth
-	cacheBytes *obs.Gauge                   // serve.cache.bytes
-	cacheCount *obs.Gauge                   // serve.cache.entries
-	evictions  *obs.Counter                 // serve.cache.evictions
-	corrupt    *obs.Counter                 // serve.cache.corrupt
-	runs       *obs.Counter                 // serve.pipeline.runs
-	deltaStale *obs.Counter                 // serve.delta.stale
-	snapBytes  *obs.Gauge                   // serve.snapshot.bytes
-	snapCount  *obs.Gauge                   // serve.snapshot.entries
+	total         map[string]*obs.Counter      // serve.request.total{outcome}
+	latency       map[string]*obs.WindowSeries // serve.request.latency{outcome}, µs
+	queueWait     *obs.WindowSeries            // serve.queue.wait, µs
+	queueDepth    *obs.Gauge                   // serve.queue.depth
+	cacheBytes    *obs.Gauge                   // serve.cache.bytes
+	cacheCount    *obs.Gauge                   // serve.cache.entries
+	evictions     *obs.Counter                 // serve.cache.evictions
+	corrupt       *obs.Counter                 // serve.cache.corrupt
+	runs          *obs.Counter                 // serve.pipeline.runs
+	deltaStale    *obs.Counter                 // serve.delta.stale
+	snapBytes     *obs.Gauge                   // serve.snapshot.bytes
+	snapCount     *obs.Gauge                   // serve.snapshot.entries
+	snapEvictions *obs.Counter                 // serve.snapshot.evictions
 
 	tier         map[string]*obs.WindowSeries // serve.tier.latency{tier}, µs
 	diskHits     *obs.Counter                 // serve.disk.hits
@@ -122,6 +123,7 @@ func newTelemetry(reg *obs.Registry) telemetry {
 	t.deltaStale = reg.Counter("serve.delta.stale", "placement snapshots dropped for failed integrity checks").With()
 	t.snapBytes = reg.Gauge("serve.snapshot.bytes", "placement-snapshot store bytes").With()
 	t.snapCount = reg.Gauge("serve.snapshot.entries", "stored placement snapshots").With()
+	t.snapEvictions = reg.Counter("serve.snapshot.evictions", "placement snapshots evicted for the byte budget").With()
 	t.tier = make(map[string]*obs.WindowSeries, len(tiers))
 	tierVec := reg.Window("serve.tier.latency", "request wall time in microseconds by answering tier", 5*time.Minute, "tier")
 	for _, tr := range tiers {

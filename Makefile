@@ -33,9 +33,10 @@ cover:
 # to catch regressions in the nil-trace zero-overhead contract (compare
 # NoTrace vs Traced allocs/op) and in the parallel pipeline's allocation
 # diet (compare DisassembleSerial vs DisassembleParallel, EvalJ1 vs
-# EvalJN). The run is converted to BENCH_pipeline.json (ns/op, allocs/op
+# EvalJN), plus the interpreter's time and allocations per poller run
+# (VMExecution). The run is converted to BENCH_pipeline.json (ns/op, allocs/op
 # and the speedup-x metrics, machine-readable) via cmd/benchjson.
-BENCH_PAT = RewriteStress|RewriteNull|RewriteNoTrace|RewriteTraced|DisassembleSerial|DisassembleParallel|EvalJ1|EvalJN|PlaceLargeSynth|ServeHotCache|ServeColdMiss|ServeInstrumented|RewriteDelta|ServeDeltaHit|DaemonHotCache|GatewayHotCache|DiskTierHit|DiskTierPromote|CorpusPins
+BENCH_PAT = RewriteStress|RewriteNull|RewriteNoTrace|RewriteTraced|DisassembleSerial|DisassembleParallel|EvalJ1|EvalJN|VMExecution|PlaceLargeSynth|ServeHotCache|ServeColdMiss|ServeInstrumented|RewriteDelta|ServeDeltaHit|DaemonHotCache|GatewayHotCache|DiskTierHit|DiskTierPromote|CorpusPins
 bench:
 	$(GO) test -run '^$$' -bench '$(BENCH_PAT)' -benchtime 1x -benchmem . | tee /dev/stderr | $(GO) run ./cmd/benchjson -merge BENCH_pipeline.json -o BENCH_pipeline.json
 

@@ -623,6 +623,7 @@ func BenchmarkVMExecution(b *testing.B) {
 	cbs := corpusSample(b)
 	cb := cbs[0]
 	var steps uint64
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res := runBench(b, cb.Bin, nil, cb.Pollers[0])

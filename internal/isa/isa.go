@@ -171,8 +171,10 @@ const (
 	fMem                      // [op][ra][rb][disp32]
 )
 
-// formLen gives the encoded length in bytes of each form.
-var formLen = map[form]int{
+// formLen gives the encoded length in bytes of each form (0 for the
+// zero form of undefined ops). It is an array so Inst.Len and Decode
+// index it without hashing.
+var formLen = [...]int{
 	fNone: 1, fReg: 2, fImm8: 2, fRel8: 2, fRegReg: 3, fRegImm8: 3,
 	fImm32: 5, fRel32: 5, fRegImm32: 6, fRegRel32: 6, fCc8: 2, fCc32: 6,
 	fMem: 7,

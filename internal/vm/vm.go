@@ -8,6 +8,7 @@
 package vm
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -63,8 +64,19 @@ func (f *Fault) Error() string {
 var ErrStepLimit = errors.New("vm: step limit exceeded")
 
 type page struct {
-	data [PageSize]byte
-	perm Perm
+	data    [PageSize]byte
+	perm    Perm
+	touched bool // accessed since the machine started (residency)
+	// code caches decoded instructions by page offset on executable
+	// pages, allocated on first fetch. A slot holds only an instruction
+	// that lies wholly inside the page; any write to the page drops it.
+	code *[PageSize]slot
+}
+
+// slot is one predecoded instruction; n == 0 marks an empty slot.
+type slot struct {
+	in isa.Inst
+	n  uint8 // encoded length in bytes
 }
 
 // Machine is a single ZVM hart plus its address space and OS state.
@@ -72,11 +84,18 @@ type page struct {
 // both ISAs; WithArch selects the instruction codec used by fetch.
 type Machine struct {
 	pages      map[uint32]*page // keyed by addr >> 12
-	touched    map[uint32]struct{}
+	nTouched   int              // pages with touched set
 	regs       [isa.NumRegs]uint32
 	pc         uint32
 	zf, lt, bf bool
 	arch       isa.Arch
+
+	// One-entry page caches for fetch and data access. Pages are never
+	// unmapped and their permissions never change, so a cached page
+	// stays valid; a lookup miss is never cached.
+	fetchKey, dataKey uint32
+	fetchPg, dataPg   *page
+	uncached          slot // fetchBytes' result
 
 	stdin    io.Reader
 	stdout   []byte
@@ -129,7 +148,6 @@ func WithRandomSeed(seed uint64) Option {
 func New(opts ...Option) *Machine {
 	m := &Machine{
 		pages:    make(map[uint32]*page),
-		touched:  make(map[uint32]struct{}),
 		arch:     isa.DefaultArch(),
 		rngState: 0x5DEECE66D,
 		maxSteps: 200_000_000,
@@ -162,15 +180,18 @@ func (m *Machine) Map(vaddr uint32, size int, perm Perm) error {
 }
 
 // WriteMem copies data into already-mapped memory, ignoring write
-// permissions (used by loaders). It does not count as a touch.
+// permissions (used by loaders). It does not count as a touch. Bytes
+// before the first unmapped address are written.
 func (m *Machine) WriteMem(vaddr uint32, data []byte) error {
-	for i, b := range data {
-		a := vaddr + uint32(i)
-		pg, ok := m.pages[a/PageSize]
+	for len(data) > 0 {
+		pg, ok := m.pages[vaddr/PageSize]
 		if !ok {
-			return fmt.Errorf("vm: WriteMem to unmapped %#x", a)
+			return fmt.Errorf("vm: WriteMem to unmapped %#x", vaddr)
 		}
-		pg.data[a%PageSize] = b
+		n := copy(pg.data[vaddr%PageSize:], data)
+		pg.code = nil
+		data = data[n:]
+		vaddr += uint32(n)
 	}
 	return nil
 }
@@ -178,13 +199,14 @@ func (m *Machine) WriteMem(vaddr uint32, data []byte) error {
 // ReadMem copies memory out of the machine without counting touches.
 func (m *Machine) ReadMem(vaddr uint32, n int) ([]byte, error) {
 	out := make([]byte, n)
-	for i := range out {
-		a := vaddr + uint32(i)
-		pg, ok := m.pages[a/PageSize]
+	for rest := out; len(rest) > 0; {
+		pg, ok := m.pages[vaddr/PageSize]
 		if !ok {
-			return nil, fmt.Errorf("vm: ReadMem from unmapped %#x", a)
+			return nil, fmt.Errorf("vm: ReadMem from unmapped %#x", vaddr)
 		}
-		out[i] = pg.data[a%PageSize]
+		c := copy(rest, pg.data[vaddr%PageSize:])
+		rest = rest[c:]
+		vaddr += uint32(c)
 	}
 	return out, nil
 }
@@ -215,7 +237,7 @@ func (m *Machine) result() Result {
 	return Result{
 		ExitCode:     m.exitCode,
 		Steps:        m.steps,
-		PagesTouched: len(m.touched),
+		PagesTouched: m.nTouched,
 		Syscalls:     m.syscalls,
 		MemOps:       m.memOps,
 		Output:       m.stdout,
@@ -237,9 +259,20 @@ func (m *Machine) Run() (Result, error) {
 	return m.result(), nil
 }
 
-// touch records residency of the page containing addr.
-func (m *Machine) touch(addr uint32) {
-	m.touched[addr/PageSize] = struct{}{}
+// touch records residency of pg.
+func (m *Machine) touch(pg *page) {
+	if !pg.touched {
+		pg.touched = true
+		m.nTouched++
+	}
+}
+
+// written drops pg's predecode cache after a store into an executable
+// page, so the next fetch decodes the new bytes.
+func written(pg *page) {
+	if pg.perm&PermX != 0 {
+		pg.code = nil
+	}
 }
 
 func (m *Machine) fault(format string, args ...any) error {
@@ -249,19 +282,34 @@ func (m *Machine) fault(format string, args ...any) error {
 // access returns the page and offset for addr after a permission check,
 // recording residency.
 func (m *Machine) access(addr uint32, need Perm) (*page, uint32, error) {
-	pg, ok := m.pages[addr/PageSize]
-	if !ok {
-		return nil, 0, m.fault("access to unmapped address %#x", addr)
+	key := addr / PageSize
+	pg := m.dataPg
+	if pg == nil || m.dataKey != key {
+		var ok bool
+		if pg, ok = m.pages[key]; !ok {
+			return nil, 0, m.fault("access to unmapped address %#x", addr)
+		}
+		m.dataPg, m.dataKey = pg, key
 	}
 	if pg.perm&need != need {
 		return nil, 0, m.fault("permission violation at %#x (need %b have %b)", addr, need, pg.perm)
 	}
-	m.touch(addr)
+	m.touch(pg)
 	return pg, addr % PageSize, nil
 }
 
+// load32 and store32 check and touch one page when the word lies inside
+// it; a word that crosses a page boundary goes byte by byte, so a fault
+// names the first byte that fails and the bytes before it count.
 func (m *Machine) load32(addr uint32) (uint32, error) {
 	m.memOps++
+	if addr%PageSize <= PageSize-4 {
+		pg, off, err := m.access(addr, PermR)
+		if err != nil {
+			return 0, err
+		}
+		return binary.LittleEndian.Uint32(pg.data[off:]), nil
+	}
 	var v uint32
 	for i := uint32(0); i < 4; i++ {
 		pg, off, err := m.access(addr+i, PermR)
@@ -275,12 +323,22 @@ func (m *Machine) load32(addr uint32) (uint32, error) {
 
 func (m *Machine) store32(addr, v uint32) error {
 	m.memOps++
+	if addr%PageSize <= PageSize-4 {
+		pg, off, err := m.access(addr, PermW)
+		if err != nil {
+			return err
+		}
+		binary.LittleEndian.PutUint32(pg.data[off:], v)
+		written(pg)
+		return nil
+	}
 	for i := uint32(0); i < 4; i++ {
 		pg, off, err := m.access(addr+i, PermW)
 		if err != nil {
 			return err
 		}
 		pg.data[off] = byte(v >> (8 * i))
+		written(pg)
 	}
 	return nil
 }
@@ -301,6 +359,7 @@ func (m *Machine) store8(addr uint32, v byte) error {
 		return err
 	}
 	pg.data[off] = v
+	written(pg)
 	return nil
 }
 
@@ -318,9 +377,42 @@ func (m *Machine) pop() (uint32, error) {
 	return v, nil
 }
 
-// fetch decodes the instruction at PC, checking execute permission on
-// every byte consumed.
-func (m *Machine) fetch() (isa.Inst, error) {
+// fetch decodes the instruction at PC. An instruction wholly inside an
+// executable page is decoded once and then served from the page's
+// predecode cache; anything else (a page straddler, a decode failure, a
+// non-executable PC) takes fetchBytes. The slot is returned by pointer:
+// the caller reads fields from memory instead of reassembling an Inst
+// from registers.
+func (m *Machine) fetch() (*slot, error) {
+	key := m.pc / PageSize
+	pg := m.fetchPg
+	if pg == nil || m.fetchKey != key {
+		var ok bool
+		if pg, ok = m.pages[key]; !ok || pg.perm&PermX == 0 {
+			return m.fetchBytes()
+		}
+		m.fetchPg, m.fetchKey = pg, key
+	}
+	off := m.pc % PageSize
+	if pg.code == nil {
+		pg.code = new([PageSize]slot)
+	}
+	s := &pg.code[off]
+	if s.n == 0 {
+		in, err := m.arch.Decode(pg.data[off:min(off+uint32(m.arch.MaxLen()), PageSize)], m.pc)
+		if err != nil {
+			return m.fetchBytes()
+		}
+		*s = slot{in, uint8(m.arch.InstLen(in))}
+	}
+	m.touch(pg)
+	return s, nil
+}
+
+// fetchBytes is the byte-by-byte fetch: it checks execute permission on
+// every byte consumed, so decoding may run into the next page. The
+// result lives in m.uncached until the next fetch.
+func (m *Machine) fetchBytes() (*slot, error) {
 	// Sized for the longest encoding of any registered ISA.
 	var buf [isa.ZVM64MaxLen]byte
 	maxLen := m.arch.MaxLen()
@@ -334,16 +426,18 @@ func (m *Machine) fetch() (isa.Inst, error) {
 		buf[n] = pg.data[a%PageSize]
 	}
 	if n == 0 {
-		return isa.Inst{}, m.fault("execute from non-executable address %#x", m.pc)
+		return nil, m.fault("execute from non-executable address %#x", m.pc)
 	}
 	in, err := m.arch.Decode(buf[:n], m.pc)
 	if err != nil {
-		return isa.Inst{}, m.fault("decode: %v (bytes % x)", err, buf[:n])
+		return nil, m.fault("decode: %v (bytes % x)", err, buf[:n])
 	}
-	for i := 0; i < m.arch.InstLen(in); i++ {
-		m.touch(m.pc + uint32(i))
+	size := uint32(m.arch.InstLen(in))
+	for a := m.pc; a != m.pc+size; a++ {
+		m.touch(m.pages[a/PageSize])
 	}
-	return in, nil
+	m.uncached = slot{in, uint8(size)}
+	return &m.uncached, nil
 }
 
 func (m *Machine) setFlagsResult(res uint32) {
@@ -402,12 +496,13 @@ func (m *Machine) step() error {
 		m.trace[m.tracePos] = m.pc
 		m.tracePos = (m.tracePos + 1) % len(m.trace)
 	}
-	in, err := m.fetch()
+	s, err := m.fetch()
 	if err != nil {
 		return err
 	}
 	m.steps++
-	next := m.pc + uint32(m.arch.InstLen(in))
+	in := &s.in
+	next := m.pc + uint32(s.n)
 	rd := &m.regs[in.Rd]
 	rs := m.regs[in.Rs]
 
